@@ -26,7 +26,7 @@ use mbt_check::sync::Arc;
 
 use crate::error::EngineError;
 use crate::flight::{Flight, SingleFlight};
-use crate::plan::{Plan, PlanKey};
+use crate::plan::{resident_bytes, Plan, PlanKey};
 use crate::stats::StatsCollector;
 
 /// One resident entry.
@@ -108,6 +108,11 @@ impl<K: Eq + Hash + Clone, V> ByteLru<K, V> {
     #[must_use]
     pub fn total_bytes(&self) -> usize {
         self.total
+    }
+
+    /// The resident values, in no particular order.
+    pub fn values(&self) -> impl Iterator<Item = &V> {
+        self.entries.values().map(|e| &e.value)
     }
 
     /// Number of resident entries.
@@ -278,9 +283,13 @@ impl PlanCache {
         }
     }
 
-    /// `(resident plans, resident bytes)`.
-    pub fn residency(&self) -> (usize, usize) {
-        self.flight.with_state(|lru| (lru.len(), lru.total_bytes()))
+    /// `(resident plans, resident bytes, operator table bytes)`, counting
+    /// each shared FMM operator table once (see `plan::resident_bytes`).
+    pub fn residency(&self) -> (usize, usize, usize) {
+        self.flight.with_state(|lru| {
+            let (bytes, tables) = resident_bytes(lru.values().map(|plan| &**plan));
+            (lru.len(), bytes, tables)
+        })
     }
 
     /// Returns the plan for `key`, building it with `build` on a miss.
@@ -434,7 +443,7 @@ mod tests {
             assert!(leader.join().is_err());
         });
         // the dead flight was retired and nothing was published
-        assert_eq!(cache.residency(), (0, 0));
+        assert_eq!(cache.residency(), (0, 0, 0));
     }
 
     #[test]
@@ -453,7 +462,7 @@ mod tests {
             cache.get_or_build(key, &stats, || panic!("first build dies"))
         }));
         assert!(boom.is_err());
-        assert_eq!(cache.residency(), (0, 0));
+        assert_eq!(cache.residency(), (0, 0, 0));
 
         // the key is not wedged: the next caller leads a fresh flight
         let ps = uniform_cube(300, 1.0, ChargeModel::UnitPositive { magnitude: 1.0 }, 3);

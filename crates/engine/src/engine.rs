@@ -161,8 +161,9 @@ pub struct QueryResponse {
     /// [`CacheOutcome::Bypassed`] for direct-routed queries, which have
     /// no plan).
     pub cache: CacheOutcome,
-    /// Resident size of the plan that served this query (zero for
-    /// direct-routed queries).
+    /// Footprint of the plan that served this query: its own bytes plus
+    /// any shared FMM operator tables it holds (zero for direct-routed
+    /// queries).
     pub plan_bytes: usize,
     /// The backend the router selected for this request. Reflects the
     /// routing decision — an FMM-keyed plan that fell back to a treecode
@@ -947,7 +948,7 @@ impl Engine {
     /// A point-in-time snapshot of every counter and gauge.
     #[must_use]
     pub fn stats(&self) -> EngineStats {
-        let (resident_plans, resident_bytes) = self.cache.residency();
+        let (resident_plans, resident_bytes, operator_table_bytes) = self.cache.residency();
         let (in_flight, queue_depth) = self.gate.depth();
         let (skeletons, skeleton_bytes) = {
             let map = self
@@ -959,6 +960,7 @@ impl Engine {
         let mut stats = self.stats.snapshot(Gauges {
             resident_plans,
             resident_bytes,
+            operator_table_bytes,
             cache_budget_bytes: self.config.cache_budget_bytes,
             datasets: self.registry.len(),
             in_flight,

@@ -109,6 +109,7 @@ impl EngineStats {
         w.field_u64("evicted_bytes", self.evicted_bytes);
         w.field_u64("resident_plans", self.resident_plans as u64);
         w.field_u64("resident_bytes", self.resident_bytes as u64);
+        w.field_u64("operator_table_bytes", self.operator_table_bytes as u64);
         w.field_u64("budget_bytes", self.cache_budget_bytes as u64);
         w.end_object();
 
@@ -278,6 +279,12 @@ impl EngineStats {
             "mbt_resident_bytes",
             "Bytes resident in the cache",
             self.resident_bytes as f64,
+        );
+        prom_gauge(
+            &mut w,
+            "mbt_operator_table_bytes",
+            "Bytes of shared FMM operator tables held by resident plans",
+            self.operator_table_bytes as f64,
         );
         prom_gauge(
             &mut w,
@@ -679,6 +686,7 @@ mod tests {
         let mut s = c.snapshot(Gauges {
             resident_plans: 2,
             resident_bytes: 1 << 20,
+            operator_table_bytes: 4096,
             cache_budget_bytes: 256 << 20,
             datasets: 2,
             in_flight: 0,
@@ -724,6 +732,7 @@ mod tests {
             "\"skeleton_evals\":9",
             "\"shard_opens\":1",
             "\"skeleton_bytes\":2048",
+            "\"operator_table_bytes\":4096",
             "\"fanout\"",
             "\"shed_quota\":1",
             "\"worker_panics\":1",
@@ -757,6 +766,7 @@ mod tests {
             "mbt_shard_opens_total 1",
             "mbt_skeletons 1",
             "mbt_skeleton_bytes 2048",
+            "mbt_operator_table_bytes 4096",
             "mbt_fanout_latency_seconds_count 1",
             "mbt_fanout_latency_p99_seconds",
             "mbt_dataset_requests_total{dataset=\"0\"} 3",

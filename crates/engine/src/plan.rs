@@ -10,7 +10,9 @@
 
 use std::time::{Duration, Instant};
 
-use mbt_fmm::{CompiledFmm, FmmError};
+use std::sync::Arc;
+
+use mbt_fmm::{CompiledFmm, FmmError, OperatorTable};
 use mbt_geometry::Particle;
 use mbt_treecode::{
     f32_near_admissible, DegreeSelector, DegreeWeighting, EvalMode, Precision, RefWeight, Treecode,
@@ -295,7 +297,8 @@ pub enum PlanArtifact {
 }
 
 impl PlanArtifact {
-    /// Resident heap bytes of the artifact.
+    /// Heap bytes the artifact owns (an FMM plan's shared operator tables
+    /// excluded).
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         match self {
@@ -303,6 +306,34 @@ impl PlanArtifact {
             PlanArtifact::Fmm(f) => f.heap_bytes(),
         }
     }
+
+    /// The shared FMM operator tables the artifact holds (none for a
+    /// treecode).
+    #[must_use]
+    pub fn operator_tables(&self) -> Vec<&Arc<OperatorTable>> {
+        match self {
+            PlanArtifact::Treecode(_) => Vec::new(),
+            PlanArtifact::Fmm(f) => f.operator_tables(),
+        }
+    }
+}
+
+/// Resident footprint of a set of plans: every plan's own bytes plus each
+/// distinct shared operator table once. Returns `(total bytes, operator
+/// table bytes)`.
+pub(crate) fn resident_bytes<'a>(plans: impl IntoIterator<Item = &'a Plan>) -> (usize, usize) {
+    let mut own = 0usize;
+    let mut tables: Vec<&Arc<OperatorTable>> = Vec::new();
+    for plan in plans {
+        own += plan.artifact.heap_bytes();
+        for t in plan.artifact.operator_tables() {
+            if !tables.iter().any(|d| Arc::ptr_eq(d, t)) {
+                tables.push(t);
+            }
+        }
+    }
+    let table_bytes: usize = tables.iter().map(|t| t.heap_bytes()).sum();
+    (own + table_bytes, table_bytes)
 }
 
 /// A built backend artifact plus the accounting the cache and stats
@@ -312,7 +343,9 @@ pub struct Plan {
     pub key: PlanKey,
     /// The built evaluation machinery, ready to evaluate.
     pub artifact: PlanArtifact,
-    /// Resident heap bytes — what the cache charges against its budget.
+    /// The plan's footprint: its own heap bytes plus the shared operator
+    /// tables it holds. The cache charges this against its budget, so a
+    /// resident plan never pins tables the budget did not pay for.
     pub bytes: usize,
     /// Wall time of the build (tree + degree selection + upward pass, or
     /// the FMM's grid construction + upward + M2L/L2L downward pass).
@@ -371,7 +404,12 @@ impl Plan {
             ),
         };
         let build_time = t0.elapsed();
-        let bytes = artifact.heap_bytes();
+        let bytes = artifact.heap_bytes()
+            + artifact
+                .operator_tables()
+                .iter()
+                .map(|t| t.heap_bytes())
+                .sum::<usize>();
         Ok(Plan {
             key,
             artifact,
@@ -522,8 +560,22 @@ mod tests {
         let key = PlanKey::routed(DatasetId(0), &params, Backend::Fmm);
         let plan = Plan::build(key, &particles, params).unwrap();
         assert!(matches!(plan.artifact, PlanArtifact::Fmm(_)));
-        assert_eq!(plan.bytes, plan.artifact.heap_bytes());
-        assert!(plan.bytes > 0);
+        let tables = plan.artifact.operator_tables();
+        assert_eq!(tables.len(), 1, "one degree, one shared table");
+        // the plan states its own bytes plus the table it holds
+        assert_eq!(
+            plan.bytes,
+            plan.artifact.heap_bytes() + tables[0].heap_bytes()
+        );
+        assert!(plan.artifact.heap_bytes() > 0);
+        // a second plan of the degree shares the table: counted once
+        let other = Plan::build(key, &particles[..500], params).unwrap();
+        let (total, table_bytes) = resident_bytes([&plan, &other]);
+        assert_eq!(table_bytes, tables[0].heap_bytes());
+        assert_eq!(
+            total,
+            plan.artifact.heap_bytes() + other.artifact.heap_bytes() + table_bytes
+        );
     }
 
     #[test]

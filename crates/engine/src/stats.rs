@@ -452,6 +452,7 @@ impl StatsCollector {
             per_tenant: Vec::new(),
             resident_plans: gauges.resident_plans,
             resident_bytes: gauges.resident_bytes,
+            operator_table_bytes: gauges.operator_table_bytes,
             cache_budget_bytes: gauges.cache_budget_bytes,
             datasets: gauges.datasets,
             in_flight: gauges.in_flight,
@@ -467,6 +468,7 @@ impl StatsCollector {
 pub(crate) struct Gauges {
     pub resident_plans: usize,
     pub resident_bytes: usize,
+    pub operator_table_bytes: usize,
     pub cache_budget_bytes: usize,
     pub datasets: usize,
     pub in_flight: usize,
@@ -573,8 +575,12 @@ pub struct EngineStats {
     pub evicted_bytes: u64,
     /// Plans currently resident in the cache.
     pub resident_plans: usize,
-    /// Bytes currently resident in the cache.
+    /// Bytes currently resident in the cache: every plan's own bytes plus
+    /// each shared FMM operator table once.
     pub resident_bytes: usize,
+    /// Bytes of the shared FMM operator tables held by resident plans
+    /// (each table once; included in `resident_bytes`).
+    pub operator_table_bytes: usize,
     /// The cache byte budget.
     pub cache_budget_bytes: usize,
     /// Registered datasets.

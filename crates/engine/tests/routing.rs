@@ -131,6 +131,37 @@ fn matvec_shapes_route_to_the_fmm_within_the_treecode_budget() {
     }
 }
 
+/// FMM plans of one degree share one operator table: each answer states
+/// its plan's own bytes plus the table, while the engine's residency
+/// counts the table once and shows it as its own gauge.
+#[cfg(not(feature = "validate"))]
+#[test]
+fn fmm_plans_of_one_degree_count_their_shared_table_once() {
+    let engine = Engine::new(EngineConfig::default()).unwrap();
+    // matvec-shaped: at least one target per 16 sources
+    let pts = probe_points(FMM_MIN_SOURCES / 16);
+    let mut plan_bytes = 0;
+    for seed in [53, 59] {
+        let id = engine
+            .register(&format!("shared/{seed}"), particles(FMM_MIN_SOURCES, seed))
+            .unwrap();
+        let r = engine
+            .query(QueryRequest::potentials(
+                id,
+                Accuracy::Fixed(3),
+                pts.clone(),
+            ))
+            .unwrap();
+        assert_eq!(r.backend, Backend::Fmm);
+        plan_bytes += r.plan_bytes;
+    }
+    let s = engine.stats();
+    assert_eq!(s.resident_plans, 2);
+    // 316 unit-edge M2L operators of (2T)² doubles, T = 10 at p = 3
+    assert!(s.operator_table_bytes >= 316 * 20 * 20 * 8);
+    assert_eq!(s.resident_bytes + s.operator_table_bytes, plan_bytes);
+}
+
 #[cfg(not(feature = "validate"))]
 #[test]
 fn field_queries_route_like_potential_queries() {

@@ -1,46 +1,57 @@
-//! The compiled FMM backend: flat per-level SoA arenas with precomputed
-//! per-offset M2L/L2L operators executed by the dense batch kernel.
+//! The compiled FMM backend: flat per-level SoA arenas with shared
+//! per-offset M2L/L2L operators executed by the dense batch kernels.
 //!
 //! The scalar reference ([`crate::Fmm`]) walks `HashMap` grids and
 //! re-derives every translation from spherical-harmonic recurrences on the
 //! hot path. This module compiles the level-synchronised pipeline instead:
 //!
-//! * **Operator probing.** Within a level, an M2L translation depends only
-//!   on the integer cell offset `Δ = s − t` (Chebyshev norm ≥ 2, each
-//!   component in `[-3, 3]` — at most 316 geometric classes). Each class is
-//!   probed column-by-column through the public translation API (basis
-//!   coefficient `1`, then `i`), which captures the full *real-linear*
-//!   operator on the stored `m ≥ 0` triangular representation — including
-//!   the implicit conjugate mirrors — as a dense real matrix over
-//!   interleaved `(re, im)` spans. L2L needs only the 8 child-octant
-//!   offsets per level. Probed operators are bit-consistent with the
-//!   scalar math by construction.
+//! * **Operator probing, once per degree.** Within a level, an M2L
+//!   translation depends only on the integer cell offset `Δ = s − t`
+//!   (Chebyshev norm ≥ 2, each component in `[-3, 3]` — at most 316
+//!   geometric classes), and Laplace M2L/L2L are homogeneous in the cell
+//!   edge `e`. The arenas therefore hold a scaled basis — P2M stores
+//!   `M̃_n = M_n·e⁻ⁿ`, the downward pass keeps `L̃_j = L_j·e^{j+1}`, and
+//!   `lift_local` divides by `e^{j+1}` before L2P — in which every level
+//!   uses the same unit-edge M2L operators, and L2L the unit operator
+//!   with its columns scaled by `2^{−(n+1)}` (exact in binary).
+//!   Those operators live in one [`OperatorTable`] per degree, probed
+//!   column-by-column through the public translation API on first use and
+//!   shared through an `Arc` by every live plan of that degree; dropping
+//!   the last such plan frees them. See [`crate::operators`].
 //! * **Flat arenas.** Multipole and local coefficients live in per-level
 //!   `Vec<f64>` arenas (occupied cells × `2·tri_len(p_l)`), particles in
 //!   SoA spans sorted by finest-level Morton key, and cell occupancy in a
 //!   dense Morton-indexed table per level — no hashing anywhere on the
 //!   downward or near-field path.
-//! * **CSR interaction lists.** The M2L list of every occupied cell is
-//!   compiled once into `(source index, operator index)` CSR rows; the
-//!   whole downward pass is then [`mbt_multipole::m2l_apply`] calls.
+//! * **Class-blocked downward pass.** Each level is walked in blocks of
+//!   Morton-ordered target cells. Within a block the targets are grouped
+//!   by parity class, and each offset of the class's interaction list is
+//!   applied in one [`mbt_multipole::m2l_apply_block`] call to every
+//!   target with a source at that offset — a GEMM-shaped, register-tiled
+//!   pass that streams each operator once per block instead of once per
+//!   pair. Every target still sums its L2L and M2L terms in interaction
+//!   list order, so the result is bit-identical to a per-pair loop.
 //!
 //! External targets are served too: a target inside the root cube but in
 //! an *unoccupied* finest cell gets its local expansion from an on-demand
-//! L2L/M2L chain down its cell path (computed once per distinct cell and
-//! shared by all targets in it); a target outside the root cube falls back
-//! to a guarded direct sum over all particles.
+//! L2L/M2L chain down its cell path, in the same scaled basis (computed
+//! once per distinct cell and shared by all targets in it); a target
+//! outside the root cube falls back to a guarded direct sum over all
+//! particles.
+
+use std::sync::Arc;
 
 use mbt_geometry::{Aabb, Particle, Vec3};
-use mbt_multipole::tables::tri_index;
 use mbt_multipole::{
-    l2p_field_with, l2p_potential_with, m2l_apply, p2m_into, tri_len, Complex, ExpansionRef,
-    LocalExpansion, Workspace,
+    l2p_field_with, l2p_potential_with, m2l_apply, m2l_apply_block, p2m_into, tri_len, Complex,
+    Workspace,
 };
 use mbt_treecode::{EvalResult, EvalStats};
 use rayon::prelude::*;
 
 use crate::grid::{cell_center, cell_of, key_coords, FmmError, LevelGrid};
 use crate::method::{build_structure, Fmm, FmmEvalMode, FmmParams, FmmStructure};
+use crate::operators::{offset_tables, OperatorTable};
 
 /// Deepest level the compiled backend supports: the dense Morton-indexed
 /// occupancy tables hold `8^l` entries per level, so depth is capped where
@@ -48,88 +59,116 @@ use crate::method::{build_structure, Fmm, FmmEvalMode, FmmParams, FmmStructure};
 /// hierarchies (e.g. huge collinear clouds) stay on the scalar reference.
 pub const COMPILED_MAX_LEVELS: usize = 8;
 
-/// Number of distinct geometric M2L offset classes (`Δ ∈ [-3,3]³` with
-/// Chebyshev norm ≥ 2).
-const M2L_OFFSET_CLASSES: usize = 316;
+/// Largest block of target cells the downward pass works on at once: at
+/// 64 targets per parity class, every operator a block applies is reused
+/// across up to 64 pairs while it sits in cache.
+const MAX_BLOCK_CELLS: usize = 512;
 
-/// Build-time offset tables shared by every level: the dense offset list
-/// and, per target parity class (`x&1 | y&1<<1 | z&1<<2`), the subset of
-/// offsets its interaction list can reach.
-struct OffsetTables {
-    /// All reachable offsets, in a fixed order (= operator order).
-    offsets: Vec<(i32, i32, i32)>,
-    /// Per parity class: `(dx, dy, dz, operator index)`.
-    by_parity: Vec<Vec<(i32, i32, i32, u16)>>,
+/// Smallest downward-pass block (8 targets per parity class).
+const MIN_BLOCK_CELLS: usize = 64;
+
+/// Block size for a level of `cells` occupied cells: the largest power of
+/// two in `[MIN_BLOCK_CELLS, MAX_BLOCK_CELLS]` that still gives every
+/// worker two blocks. Results do not depend on it.
+fn downward_block_cells(cells: usize) -> usize {
+    let per_block = cells / (2 * rayon::current_num_threads().max(1));
+    let pow2 = if per_block == 0 {
+        1
+    } else {
+        1 << per_block.ilog2()
+    };
+    pow2.clamp(MIN_BLOCK_CELLS, MAX_BLOCK_CELLS)
 }
 
-fn offset_tables() -> OffsetTables {
-    // lint: allow(alloc, cold path: offset tables are built once per plan)
-    let mut offsets = Vec::new();
-    for dz in -3i32..=3 {
-        for dy in -3i32..=3 {
-            for dx in -3i32..=3 {
-                if dx.abs().max(dy.abs()).max(dz.abs()) >= 2 {
-                    offsets.push((dx, dy, dz));
-                }
-            }
+/// One level's inputs to the downward pass, in the scaled basis.
+struct DownwardLevel<'a> {
+    /// The level index.
+    l: usize,
+    /// Triangular span length at this level's degree.
+    t: usize,
+    /// Unit-edge M2L operators of this level's degree.
+    m2l: &'a [f64],
+    /// The 8 scaled L2L operators from the parent level's degree.
+    l2l: &'a [f64],
+    /// Parent-level locals.
+    parents: &'a [f64],
+    /// This level's multipoles.
+    mult: &'a [f64],
+    /// Morton code per occupied cell of this level.
+    mortons: &'a [u64],
+    /// Dense occupancy of this level and of the parent level.
+    occ: &'a [u32],
+    parent_occ: &'a [u32],
+}
+
+impl DownwardLevel<'_> {
+    /// Computes the locals `y` of the occupied cells `first..`: each
+    /// target's L2L from its parent, then, per parity class, each offset
+    /// of the class's interaction list applied in one
+    /// [`m2l_apply_block`] call to every target of the class that has a
+    /// source at that offset. Each target therefore sums its
+    /// contributions in the same order as a per-cell loop over its list.
+    /// Returns the number of M2L pairs.
+    fn run_block(&self, first: usize, y: &mut [f64]) -> u64 {
+        let rows = 2 * self.t;
+        let cells = y.len() / rows;
+        let mortons = &self.mortons[first..first + cells];
+        // targets by parity class (= Morton octant): (block index, x, y, z)
+        // lint: allow(alloc, cold path: per-block class lists at plan build)
+        let mut classes: [Vec<(u32, i64, i64, i64)>; 8] = Default::default();
+        for (ci, &code) in mortons.iter().enumerate() {
+            let (x, yy, z) = mbt_geometry::morton::decode(code);
+            classes[(code & 7) as usize].push((
+                ci as u32,
+                i64::from(x),
+                i64::from(yy),
+                i64::from(z),
+            ));
         }
-    }
-    debug_assert_eq!(offsets.len(), M2L_OFFSET_CLASSES);
-    let index_of = |d: (i32, i32, i32)| -> u16 {
-        offsets
-            .iter()
-            .position(|&o| o == d)
-            // lint: allow(panic, the 7-cube scan above inserted every reachable offset)
-            .expect("offset in table") as u16
-    };
-    // lint: allow(alloc, cold path: offset tables are built once per plan)
-    let mut by_parity: Vec<Vec<(i32, i32, i32, u16)>> = vec![Vec::new(); 8];
-    for (parity, list) in by_parity.iter_mut().enumerate() {
-        let b = (
-            (parity & 1) as i32,
-            ((parity >> 1) & 1) as i32,
-            ((parity >> 2) & 1) as i32,
-        );
-        // children of the target's parent's neighbours: Δ = 2d + o − b
-        for dz in -1i32..=1 {
-            for dy in -1i32..=1 {
-                for dx in -1i32..=1 {
-                    for oz in 0..2i32 {
-                        for oy in 0..2i32 {
-                            for ox in 0..2i32 {
-                                let d = (2 * dx + ox - b.0, 2 * dy + oy - b.1, 2 * dz + oz - b.2);
-                                if d.0.abs().max(d.1.abs()).max(d.2.abs()) <= 1 {
-                                    continue; // adjacent: near field
-                                }
-                                list.push((d.0, d.1, d.2, index_of(d)));
-                            }
-                        }
+        // lint: allow(alloc, cold path: per-block pair scratch at plan build)
+        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(cells);
+
+        let l2l_stride = self.l2l.len() / 8;
+        for (octant, members) in classes.iter().enumerate() {
+            pairs.clear();
+            pairs.extend(members.iter().map(|&(ci, ..)| {
+                let parent = self.parent_occ[(mortons[ci as usize] >> 3) as usize];
+                (ci, parent - 1)
+            }));
+            let op = &self.l2l[octant * l2l_stride..(octant + 1) * l2l_stride];
+            m2l_apply_block(op, self.parents, y, rows, &pairs);
+        }
+
+        let stride = rows * rows;
+        let side = 1i64 << self.l;
+        let mut count = 0u64;
+        for (class, members) in classes.iter().enumerate() {
+            for &(dx, dy, dz, op) in &offset_tables().by_parity[class] {
+                pairs.clear();
+                for &(ci, x, yy, z) in members {
+                    let (sx, sy, sz) = (x + i64::from(dx), yy + i64::from(dy), z + i64::from(dz));
+                    if sx < 0 || sy < 0 || sz < 0 || sx >= side || sy >= side || sz >= side {
+                        continue;
+                    }
+                    let code = mbt_geometry::morton::encode(sx as u32, sy as u32, sz as u32);
+                    let si = self.occ[code as usize];
+                    if si != 0 {
+                        pairs.push((ci, si - 1));
                     }
                 }
+                count += pairs.len() as u64;
+                let oi = op as usize;
+                m2l_apply_block(
+                    &self.m2l[oi * stride..(oi + 1) * stride],
+                    self.mult,
+                    y,
+                    rows,
+                    &pairs,
+                );
             }
         }
+        count
     }
-    OffsetTables { offsets, by_parity }
-}
-
-/// Compiled translation operators and interaction lists of one level.
-#[derive(Debug, Default)]
-struct LevelOps {
-    /// Dense M2L matrices, concatenated in offset-table order; each is
-    /// `2T × 2T` column-major reals over interleaved coefficient spans.
-    m2l_ops: Vec<f64>,
-    /// Stride between consecutive M2L operators.
-    m2l_stride: usize,
-    /// The 8 child-octant L2L matrices (`2T_child × 2T_parent`).
-    l2l_ops: Vec<f64>,
-    /// Stride between consecutive L2L operators.
-    l2l_stride: usize,
-    /// CSR row offsets over occupied target cells (`len + 1` entries).
-    csr_off: Vec<u32>,
-    /// Source cell (dense occupied index) per CSR entry.
-    csr_src: Vec<u32>,
-    /// Operator index (offset-table order) per CSR entry.
-    csr_op: Vec<u16>,
 }
 
 /// Reusable SoA scratch holding the gathered 27-cell near field of one
@@ -160,14 +199,15 @@ pub struct CompiledFmm {
     occ: Vec<Vec<u32>>,
     /// Per level: Morton code of each occupied cell (dense order).
     mortons: Vec<Vec<u64>>,
-    /// Per level: interleaved multipole coefficients (occupied × `2T`).
+    /// Per level: interleaved scaled multipoles `M̃_n = M_n·e⁻ⁿ`
+    /// (occupied × `2T`; empty below level 2, where no M2L reads them).
     mult_re: Vec<Vec<f64>>,
-    /// Per level: interleaved local coefficients (occupied × `2T`).
+    /// Per level: interleaved scaled locals `L̃_j = L_j·e^{j+1}`
+    /// (occupied × `2T`).
     locals_re: Vec<Vec<f64>>,
-    /// Per level: compiled operators and CSR lists (levels 0/1 empty).
-    ops: Vec<LevelOps>,
-    /// Offset subsets per target parity class (shared by all levels).
-    by_parity: Vec<Vec<(i32, i32, i32, u16)>>,
+    /// Per level `l ≥ 2` (at index `l − 2`): the shared unit-edge
+    /// operators of its degree.
+    tables: Vec<Arc<OperatorTable>>,
     /// P2M terms formed during the upward pass (scalar-compatible counter).
     pub translation_terms: u64,
     /// Total compiled M2L list entries across all levels.
@@ -225,12 +265,20 @@ impl CompiledFmm {
             mortons.push(codes);
         }
 
-        // upward: P2M straight into the interleaved arenas
+        // upward: scaled P2M straight into the interleaved arenas
         let mut translation_terms = 0u64;
         let mut mult_re: Vec<Vec<f64>> = Vec::with_capacity(levels + 1);
         for (l, grid) in grids.iter().enumerate() {
             let p = degrees[l];
             let t = tri_len(p);
+            translation_terms += (grid.len() as u64) * ((p as u64 + 1) * (p as u64 + 1));
+            if l < 2 {
+                // lint: allow(alloc, cold path: empty arena placeholder per plan build)
+                mult_re.push(Vec::new());
+                continue;
+            }
+            // lint: allow(alloc, cold path: per-level scale table at plan build)
+            let inv_pow: Vec<f64> = (0..=p).map(|n| grid.cell_edge.powi(-(n as i32))).collect();
             // lint: allow(alloc, cold path: compiled once per plan build)
             let mut arena = vec![0.0f64; grid.len() * 2 * t];
             arena
@@ -248,125 +296,49 @@ impl CompiledFmm {
                         &sorted[s as usize..e as usize],
                         &mut ws,
                     );
-                    for (k, c) in scratch.iter().enumerate() {
-                        span[2 * k] = c.re;
-                        span[2 * k + 1] = c.im;
+                    let mut k = 0;
+                    for (n, &scale) in inv_pow.iter().enumerate() {
+                        for _ in 0..=n {
+                            span[2 * k] = scratch[k].re * scale;
+                            span[2 * k + 1] = scratch[k].im * scale;
+                            k += 1;
+                        }
                     }
                 });
-            translation_terms += (grid.len() as u64) * ((p as u64 + 1) * (p as u64 + 1));
             mult_re.push(arena);
         }
 
-        // compile per-level operators and CSR interaction lists
-        let tables = offset_tables();
-        // lint: allow(alloc, cold path: compiled once per plan build)
-        let mut ops: Vec<LevelOps> = (0..=levels).map(|_| LevelOps::default()).collect();
-        let mut m2l_pairs = 0u64;
-        for l in 2..=levels {
-            let p = degrees[l];
-            let p_par = degrees[l - 1];
-            let t = tri_len(p);
-            let t_par = tri_len(p_par);
-            let edge = grids[l].cell_edge;
-            let lv = &mut ops[l];
-
-            // M2L: probe every geometric offset class
-            lv.m2l_stride = (2 * t) * (2 * t);
-            // lint: allow(alloc, cold path: compiled once per plan build)
-            lv.m2l_ops = vec![0.0f64; M2L_OFFSET_CLASSES * lv.m2l_stride];
-            let offsets = &tables.offsets;
-            lv.m2l_ops
-                .par_chunks_mut(lv.m2l_stride)
-                .enumerate()
-                .for_each(|(oi, mat)| {
-                    let (dx, dy, dz) = offsets[oi];
-                    let d_vec = Vec3::new(
-                        f64::from(dx) * edge,
-                        f64::from(dy) * edge,
-                        f64::from(dz) * edge,
-                    );
-                    probe_m2l(mat, d_vec, p, t);
-                });
-
-            // L2L: probe the 8 child octants
-            lv.l2l_stride = (2 * t) * (2 * t_par);
-            // lint: allow(alloc, cold path: compiled once per plan build)
-            lv.l2l_ops = vec![0.0f64; 8 * lv.l2l_stride];
-            for (octant, mat) in lv.l2l_ops.chunks_mut(lv.l2l_stride).enumerate() {
-                let (bx, by, bz) = mbt_geometry::morton::decode(octant as u64);
-                let delta = Vec3::new(
-                    (f64::from(bx) - 0.5) * edge,
-                    (f64::from(by) - 0.5) * edge,
-                    (f64::from(bz) - 0.5) * edge,
-                );
-                probe_l2l(mat, delta, p_par, p, t_par, t);
-            }
-
-            // CSR lists over occupied target cells
-            let grid = &grids[l];
-            let side = 1i64 << l;
-            lv.csr_off = Vec::with_capacity(grid.len() + 1);
-            lv.csr_off.push(0);
-            for ci in 0..grid.len() {
-                let (x, y, z) = key_coords(grid.keys[ci]);
-                let parity = ((x & 1) | (y & 1) << 1 | (z & 1) << 2) as usize;
-                for &(dx, dy, dz, op) in &tables.by_parity[parity] {
-                    let sx = i64::from(x) + i64::from(dx);
-                    let sy = i64::from(y) + i64::from(dy);
-                    let sz = i64::from(z) + i64::from(dz);
-                    if sx < 0 || sy < 0 || sz < 0 || sx >= side || sy >= side || sz >= side {
-                        continue;
-                    }
-                    let code = mbt_geometry::morton::encode(sx as u32, sy as u32, sz as u32);
-                    let si = occ[l][code as usize];
-                    if si != 0 {
-                        lv.csr_src.push(si - 1);
-                        lv.csr_op.push(op);
-                    }
-                }
-                lv.csr_off.push(lv.csr_src.len() as u32);
-            }
-            m2l_pairs += lv.csr_src.len() as u64;
-        }
-
-        // downward: L2L from the parent, then the compiled M2L list
+        // downward: per level, L2L from the parent then M2L, class-blocked
+        // lint: allow(alloc, cold path: one Arc per level at plan build)
+        let tables: Vec<Arc<OperatorTable>> = (2..=levels)
+            .map(|l| OperatorTable::for_degree(degrees[l]))
+            // lint: allow(alloc, cold path: one Arc per level at plan build)
+            .collect();
         let mut locals_re: Vec<Vec<f64>> = (0..=levels)
             // lint: allow(alloc, cold path: compiled once per plan build)
             .map(|l| vec![0.0f64; grids[l].len() * 2 * tri_len(degrees[l])])
             // lint: allow(alloc, cold path: compiled once per plan build)
             .collect();
+        let mut m2l_pairs = 0u64;
         for l in 2..=levels {
-            let t = tri_len(degrees[l]);
-            let t_par = tri_len(degrees[l - 1]);
             let (before, after) = locals_re.split_at_mut(l);
-            let parents = &before[l - 1];
-            let lv = &ops[l];
-            let mult = &mult_re[l];
-            let level_mortons = &mortons[l];
-            let parent_occ = &occ[l - 1];
-            after[0]
-                .par_chunks_mut(2 * t)
+            let level = DownwardLevel {
+                l,
+                t: tri_len(degrees[l]),
+                m2l: tables[l - 2].m2l(),
+                l2l: tables[l - 2].l2l(degrees[l - 1]),
+                parents: &before[l - 1],
+                mult: &mult_re[l],
+                mortons: &mortons[l],
+                occ: &occ[l],
+                parent_occ: &occ[l - 1],
+            };
+            let block = downward_block_cells(grids[l].len());
+            m2l_pairs += after[0]
+                .par_chunks_mut(block * 2 * level.t)
                 .enumerate()
-                .for_each(|(ci, y)| {
-                    let tm = level_mortons[ci];
-                    let pi = parent_occ[(tm >> 3) as usize] as usize - 1;
-                    let octant = (tm & 7) as usize;
-                    m2l_apply(
-                        &lv.l2l_ops[octant * lv.l2l_stride..(octant + 1) * lv.l2l_stride],
-                        &parents[pi * 2 * t_par..(pi + 1) * 2 * t_par],
-                        y,
-                    );
-                    let (s, e) = (lv.csr_off[ci] as usize, lv.csr_off[ci + 1] as usize);
-                    for k in s..e {
-                        let si = lv.csr_src[k] as usize;
-                        let oi = lv.csr_op[k] as usize;
-                        m2l_apply(
-                            &lv.m2l_ops[oi * lv.m2l_stride..(oi + 1) * lv.m2l_stride],
-                            &mult[si * 2 * t..(si + 1) * 2 * t],
-                            y,
-                        );
-                    }
-                });
+                .map(|(b, y)| level.run_block(b * block, y))
+                .sum::<u64>();
         }
 
         Ok(CompiledFmm {
@@ -384,8 +356,7 @@ impl CompiledFmm {
             mortons,
             mult_re,
             locals_re,
-            ops,
-            by_parity: tables.by_parity,
+            tables,
             translation_terms,
             m2l_pairs,
         })
@@ -409,8 +380,9 @@ impl CompiledFmm {
         self.bounds
     }
 
-    /// Approximate owned heap footprint: arenas, operators, occupancy
-    /// tables, lists, and particle mirrors (for cache accounting).
+    /// Approximate owned heap footprint: arenas, occupancy tables, and
+    /// particle mirrors. The shared operator tables are not owned by the
+    /// plan; see [`Self::table_bytes`].
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         let f64s = self.xs.len() * 4 * 8
@@ -424,22 +396,33 @@ impl CompiledFmm {
             .sum();
         let occ: usize = self.occ.iter().map(|t| t.len() * 4).sum();
         let mortons: usize = self.mortons.iter().map(|m| m.len() * 8).sum();
-        let ops: usize = self
-            .ops
-            .iter()
-            .map(|o| {
-                (o.m2l_ops.len() + o.l2l_ops.len()) * 8
-                    + o.csr_off.len() * 4
-                    + o.csr_src.len() * 4
-                    + o.csr_op.len() * 2
-            })
-            .sum();
         let grids: usize = self
             .grids
             .iter()
             .map(|g| g.len() * (8 + 24 + 8 + 8 + 48))
             .sum();
-        f64s + arenas + occ + mortons + ops + grids
+        f64s + arenas + occ + mortons + grids + self.tables.len() * 8
+    }
+
+    /// The distinct shared operator tables this plan holds (one per
+    /// degree at levels ≥ 2).
+    #[must_use]
+    pub fn operator_tables(&self) -> Vec<&Arc<OperatorTable>> {
+        // lint: allow(alloc, O(levels) list for byte accounting)
+        let mut distinct: Vec<&Arc<OperatorTable>> = Vec::new();
+        for t in &self.tables {
+            if !distinct.iter().any(|d| Arc::ptr_eq(d, t)) {
+                distinct.push(t);
+            }
+        }
+        distinct
+    }
+
+    /// Heap bytes of the shared operator tables this plan holds — shared
+    /// with every other live plan of the same degrees.
+    #[must_use]
+    pub fn table_bytes(&self) -> usize {
+        self.operator_tables().iter().map(|t| t.heap_bytes()).sum()
     }
 
     /// Gathers (and coalesces) the near-field particle ranges of the 27
@@ -496,11 +479,22 @@ impl CompiledFmm {
         }
     }
 
-    /// Lifts the interleaved local span of one finest cell into complex
-    /// scratch for the L2P kernels.
-    fn lift_local(span: &[f64], scratch: &mut Vec<Complex>) {
+    /// Lifts the scaled interleaved local span of one finest cell (edge
+    /// `edge`, degree `p`) into complex scratch for the L2P kernels:
+    /// `L_j = L̃_j / e^{j+1}`.
+    fn lift_local(span: &[f64], edge: f64, p: usize, scratch: &mut Vec<Complex>) {
         scratch.clear();
-        scratch.extend(span.chunks_exact(2).map(|c| Complex { re: c[0], im: c[1] }));
+        let mut k = 0;
+        for j in 0..=p {
+            let scale = edge.powi(j as i32 + 1);
+            for _ in 0..=j {
+                scratch.push(Complex {
+                    re: span[2 * k] / scale,
+                    im: span[2 * k + 1] / scale,
+                });
+                k += 1;
+            }
+        }
     }
 
     /// Potentials at all source particles, caller order.
@@ -525,6 +519,8 @@ impl CompiledFmm {
                 self.gather_near(&near, &mut gather);
                 Self::lift_local(
                     &self.locals_re[self.levels][ci * 2 * t..(ci + 1) * 2 * t],
+                    finest.cell_edge,
+                    p,
                     lc,
                 );
                 let center = finest.centers[ci];
@@ -604,24 +600,28 @@ impl CompiledFmm {
             // lint: allow(alloc, O(p^2) per level of the on-demand chain)
             let mut next = vec![0.0f64; 2 * tl];
             if l >= 2 {
-                let lv = &self.ops[l];
+                let table = &self.tables[l - 2];
                 // L2L from the (possibly itself empty) parent chain; the
                 // parent local below level 2 is identically zero.
                 // lint: allow(float_cmp, exact-zero skip of an identically-zero parent local)
                 if l > 2 || cur.iter().any(|&v| v != 0.0) {
+                    let l2l = table.l2l(self.degrees[l - 1]);
+                    let stride = l2l.len() / 8;
                     let octant = (path[l] & 7) as usize;
                     m2l_apply(
-                        &lv.l2l_ops[octant * lv.l2l_stride..(octant + 1) * lv.l2l_stride],
+                        &l2l[octant * stride..(octant + 1) * stride],
                         &cur,
                         &mut next,
                     );
                 }
                 // M2L over the interaction list of this (empty) cell
+                let m2l = table.m2l();
+                let stride = (2 * tl) * (2 * tl);
                 let (x, y, z) = mbt_geometry::morton::decode(path[l]);
-                let parity = ((x & 1) | (y & 1) << 1 | (z & 1) << 2) as usize;
+                let parity = (path[l] & 7) as usize;
                 let side = 1i64 << l;
                 let mult = &self.mult_re[l];
-                for &(dx, dy, dz, op) in &self.by_parity[parity] {
+                for &(dx, dy, dz, op) in &offset_tables().by_parity[parity] {
                     let sx = i64::from(x) + i64::from(dx);
                     let sy = i64::from(y) + i64::from(dy);
                     let sz = i64::from(z) + i64::from(dz);
@@ -634,7 +634,7 @@ impl CompiledFmm {
                         let si = si as usize - 1;
                         let oi = op as usize;
                         m2l_apply(
-                            &lv.m2l_ops[oi * lv.m2l_stride..(oi + 1) * lv.m2l_stride],
+                            &m2l[oi * stride..(oi + 1) * stride],
                             &mult[si * 2 * tl..(si + 1) * 2 * tl],
                             &mut next,
                         );
@@ -727,7 +727,7 @@ impl CompiledFmm {
                 let (x, y, z) = mbt_geometry::morton::decode(code);
                 let local = self.local_for_cell(code);
                 let mut lc = Vec::with_capacity(local.len() / 2);
-                Self::lift_local(&local, &mut lc);
+                Self::lift_local(&local, self.grids[self.levels].cell_edge, p, &mut lc);
                 let center = cell_center(&self.bounds, cells, x, y, z);
                 let near = self.near_ranges(x, y, z);
                 let mut gather = NearGather::default();
@@ -808,57 +808,6 @@ impl CompiledFmm {
     }
 }
 
-/// Probes one M2L operator: the real-linear map from a source multipole's
-/// stored `m ≥ 0` span to the target local's span, for source center
-/// `d_vec` relative to the target. Column-major `2T × 2T`.
-fn probe_m2l(mat: &mut [f64], d_vec: Vec3, p: usize, t: usize) {
-    // lint: allow(alloc, cold path: operator probe at plan build)
-    let mut probe = vec![Complex::ZERO; t];
-    for k in 0..t {
-        for (part, unit) in [Complex::ONE, Complex::I].into_iter().enumerate() {
-            probe[k] = unit;
-            let local = ExpansionRef::new(d_vec, p, &probe).to_local(Vec3::ZERO, p);
-            let col = 2 * k + part;
-            let mut r = 0usize;
-            for j in 0..=p {
-                for kk in 0..=j {
-                    debug_assert_eq!(r, tri_index(j, kk));
-                    let c = local.coeff(j, kk as i64);
-                    mat[col * 2 * t + 2 * r] = c.re;
-                    mat[col * 2 * t + 2 * r + 1] = c.im;
-                    r += 1;
-                }
-            }
-        }
-        probe[k] = Complex::ZERO;
-    }
-}
-
-/// Probes one L2L operator: parent local (degree `p_par`) at the origin to
-/// a child local (degree `p`) centered at `delta`. Column-major
-/// `2T × 2T_par`.
-fn probe_l2l(mat: &mut [f64], delta: Vec3, p_par: usize, p: usize, t_par: usize, t: usize) {
-    // lint: allow(alloc, cold path: operator probe at plan build)
-    let mut probe = vec![Complex::ZERO; t_par];
-    for k in 0..t_par {
-        for (part, unit) in [Complex::ONE, Complex::I].into_iter().enumerate() {
-            probe[k] = unit;
-            let child = LocalExpansion::from_coeffs(Vec3::ZERO, p_par, &probe).translated(delta, p);
-            let col = 2 * k + part;
-            let mut r = 0usize;
-            for j in 0..=p {
-                for kk in 0..=j {
-                    let c = child.coeff(j, kk as i64);
-                    mat[col * 2 * t + 2 * r] = c.re;
-                    mat[col * 2 * t + 2 * r + 1] = c.im;
-                    r += 1;
-                }
-            }
-        }
-        probe[k] = Complex::ZERO;
-    }
-}
-
 /// The [`FmmEvalMode`]-dispatching front door: builds whichever
 /// implementation the params select and exposes the shared evaluation
 /// surface. When the compiled backend cannot represent the hierarchy
@@ -917,6 +866,7 @@ impl FmmEvaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::operators::M2L_OFFSET_CLASSES as M2L_CLASSES;
     use mbt_geometry::distribution::{gaussian, uniform_cube, ChargeModel};
     use mbt_treecode::relative_error;
 
@@ -1075,5 +1025,137 @@ mod tests {
         assert!(bytes > 2000 * 4 * 8, "bytes = {bytes}");
         assert!(bytes < 1 << 30, "bytes = {bytes}");
         assert!(fmm.m2l_pairs > 0);
+
+        // a second plan of the same degree shares the operator table, and
+        // neither plan counts it among its own bytes
+        let other = CompiledFmm::new(&ps[..1500], FmmParams::fixed(4).with_levels(3)).unwrap();
+        let (a, b) = (fmm.operator_tables(), other.operator_tables());
+        assert_eq!((a.len(), b.len()), (1, 1), "one degree, one table");
+        assert!(Arc::ptr_eq(a[0], b[0]));
+        let m2l_bytes = M2L_CLASSES * (2 * tri_len(4)).pow(2) * 8;
+        assert!(fmm.table_bytes() >= m2l_bytes);
+        assert!(other.table_bytes() >= m2l_bytes);
+        assert!(
+            other.heap_bytes() < bytes,
+            "fewer particles, fewer owned bytes"
+        );
+        assert!(
+            fmm.heap_bytes() + other.heap_bytes() + fmm.table_bytes() < 2 * (bytes + m2l_bytes),
+            "the table is not part of either plan's own bytes"
+        );
+    }
+
+    /// The pre-blocking downward pass: one `m2l_apply` per L2L and per
+    /// CSR entry, target by target, over the plan's own arenas and tables.
+    fn per_pair_downward(fmm: &CompiledFmm) -> (Vec<Vec<f64>>, u64) {
+        let mut locals: Vec<Vec<f64>> = fmm
+            .locals_re
+            .iter()
+            .map(|a| vec![0.0f64; a.len()])
+            .collect();
+        let mut pairs = 0u64;
+        for l in 2..=fmm.levels {
+            let (t, t_par) = (tri_len(fmm.degrees[l]), tri_len(fmm.degrees[l - 1]));
+            let grid = &fmm.grids[l];
+            let side = 1i64 << l;
+            let mut csr_off = vec![0usize];
+            let mut csr: Vec<(usize, usize)> = Vec::new();
+            for ci in 0..grid.len() {
+                let (x, y, z) = key_coords(grid.keys[ci]);
+                let parity = ((x & 1) | (y & 1) << 1 | (z & 1) << 2) as usize;
+                for &(dx, dy, dz, op) in &offset_tables().by_parity[parity] {
+                    let (sx, sy, sz) = (
+                        i64::from(x) + i64::from(dx),
+                        i64::from(y) + i64::from(dy),
+                        i64::from(z) + i64::from(dz),
+                    );
+                    if sx < 0 || sy < 0 || sz < 0 || sx >= side || sy >= side || sz >= side {
+                        continue;
+                    }
+                    let code = mbt_geometry::morton::encode(sx as u32, sy as u32, sz as u32);
+                    let si = fmm.occ[l][code as usize];
+                    if si != 0 {
+                        csr.push((si as usize - 1, op as usize));
+                    }
+                }
+                csr_off.push(csr.len());
+            }
+            pairs += csr.len() as u64;
+            let table = &fmm.tables[l - 2];
+            let (m2l, l2l) = (table.m2l(), table.l2l(fmm.degrees[l - 1]));
+            let (m2l_stride, l2l_stride) = (4 * t * t, 4 * t * t_par);
+            let (before, after) = locals.split_at_mut(l);
+            for ci in 0..grid.len() {
+                let y = &mut after[0][ci * 2 * t..(ci + 1) * 2 * t];
+                let tm = fmm.mortons[l][ci];
+                let pi = fmm.occ[l - 1][(tm >> 3) as usize] as usize - 1;
+                let octant = (tm & 7) as usize;
+                m2l_apply(
+                    &l2l[octant * l2l_stride..(octant + 1) * l2l_stride],
+                    &before[l - 1][pi * 2 * t_par..(pi + 1) * 2 * t_par],
+                    y,
+                );
+                for &(si, oi) in &csr[csr_off[ci]..csr_off[ci + 1]] {
+                    m2l_apply(
+                        &m2l[oi * m2l_stride..(oi + 1) * m2l_stride],
+                        &fmm.mult_re[l][si * 2 * t..(si + 1) * 2 * t],
+                        y,
+                    );
+                }
+            }
+        }
+        (locals, pairs)
+    }
+
+    #[test]
+    fn blocked_downward_pass_is_bit_identical_to_per_pair_loop() {
+        // a clustered cloud leaves cells (and whole blocks) empty
+        let ps = gaussian(4000, Vec3::ZERO, 0.3, charges(), 41);
+        for params in [
+            FmmParams::fixed(5).with_levels(4),
+            FmmParams::adaptive(3, 0.7).with_levels(4),
+        ] {
+            let fmm = CompiledFmm::new(&ps, params).unwrap();
+            let (want, pairs) = per_pair_downward(&fmm);
+            assert_eq!(fmm.m2l_pairs, pairs);
+            for (l, (got, want)) in fmm.locals_re.iter().zip(&want).enumerate() {
+                assert_eq!(got, want, "level {l}, {:?}", fmm.degrees);
+            }
+        }
+    }
+
+    #[test]
+    fn plans_of_one_degree_share_one_table_probed_once() {
+        // degree 1 is used by no other test in this binary
+        let ps = uniform_cube(800, 1.0, charges(), 43);
+        let before = crate::operators::m2l_probes(1);
+        let barrier = std::sync::Barrier::new(2);
+        let (a, b) = std::thread::scope(|s| {
+            let build = || {
+                barrier.wait();
+                CompiledFmm::new(&ps, FmmParams::fixed(1).with_levels(3)).unwrap()
+            };
+            let ha = s.spawn(build);
+            let hb = s.spawn(build);
+            (ha.join().unwrap(), hb.join().unwrap())
+        });
+        assert!(Arc::ptr_eq(a.operator_tables()[0], b.operator_tables()[0]));
+        assert_eq!(crate::operators::m2l_probes(1) - before, 1);
+        assert_eq!(a.potentials().values, b.potentials().values);
+    }
+
+    #[test]
+    fn dropping_the_last_plan_frees_its_table() {
+        // degree 2 is used by no other test in this binary
+        let ps = uniform_cube(600, 1.0, charges(), 47);
+        let a = CompiledFmm::new(&ps, FmmParams::fixed(2).with_levels(3)).unwrap();
+        let b = CompiledFmm::new(&ps, FmmParams::fixed(2).with_levels(2)).unwrap();
+        let live = OperatorTable::live_bytes(2);
+        assert!(live >= M2L_CLASSES * (2 * tri_len(2)).pow(2) * 8);
+        assert_eq!(live, a.table_bytes());
+        drop(a);
+        assert_eq!(OperatorTable::live_bytes(2), b.table_bytes());
+        drop(b);
+        assert_eq!(OperatorTable::live_bytes(2), 0);
     }
 }

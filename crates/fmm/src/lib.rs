@@ -29,7 +29,9 @@
 pub mod compiled;
 pub mod grid;
 pub mod method;
+pub mod operators;
 
 pub use compiled::{CompiledFmm, FmmEvaluator, COMPILED_MAX_LEVELS};
 pub use grid::{cell_key, FmmError, LevelGrid};
 pub use method::{Fmm, FmmEvalMode, FmmParams, MAX_LEVELS};
+pub use operators::OperatorTable;

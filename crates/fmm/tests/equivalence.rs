@@ -66,11 +66,12 @@ fn compiled_matches_scalar_on_both_distributions() {
 
 #[test]
 fn backends_agree_within_the_tolerance_budget_on_potentials() {
-    // tolerances much below 1e-3 resolve degrees past p ≈ 12, and the
-    // compiled backend's operator compilation scales as p⁶ per level —
-    // fine in release, minutes in the unoptimized test profile. 1e-3
-    // keeps the resolved degrees single-digit while still exercising the
-    // full Tolerance policy end to end.
+    // tolerances much below 1e-3 resolve degrees past p ≈ 12. The
+    // compiled backend probes its operators once per distinct degree (not
+    // per level), but that probe still grows as p⁶ — fine in release,
+    // slow in the unoptimized test profile. 1e-3 keeps the resolved
+    // degrees single-digit while still exercising the full Tolerance
+    // policy end to end.
     let tol = 1e-3;
     let pts = probe_points();
     for (ps, label) in [
@@ -158,7 +159,7 @@ fn degree_policies_resolve_identically_across_fmm_modes() {
     // worst-case geometry — the compiled and scalar pipelines must agree
     // on the resolved degrees or their budgets diverge silently. (The
     // tolerances stay ≥ 1e-3: tighter ones resolve degrees whose p⁶
-    // operator compilation dominates the unoptimized test profile.)
+    // one-off operator probe dominates the unoptimized test profile.)
     let ps = uniform(2000, 19);
     for tol in [1e-2, 1e-3] {
         let params = FmmParams::tolerance(tol);

@@ -1093,6 +1093,150 @@ fn m2l_apply_impl<const L: usize>(op: &[f64], x: &[f64], y: &mut [f64]) {
     }
 }
 
+/// Rows per register tile of [`m2l_apply_block`]: 8 lane-vector
+/// accumulators, the most the compiler reliably keeps in registers (wider
+/// tiles are spilled to memory).
+const M2L_TILE_ROWS: usize = 8;
+
+/// Applies one dense operator to many `(target, source)` span pairs:
+/// for every `(t, s)` in `pairs`, `y_t += op · x_s`, where `x_s` is span
+/// `s` of `x` (`op.len() / rows` entries) and `y_t` is span `t` of `y`
+/// (`rows` entries), `op` column-major as in [`m2l_apply`].
+///
+/// This is the GEMM-shaped form of the compiled FMM's downward pass: one
+/// offset class applied to every pair that shares it. Pairs are taken a
+/// lane-width group at a time (8 on AVX-512, 4 otherwise); the group's
+/// source and target spans are packed lane-major, and a register tile of
+/// 8 rows × the group accumulates across all columns, so each operator
+/// entry is broadcast once per group instead of streamed once per pair.
+///
+/// Per output entry the operation sequence is `y + a₀·x₀ + a₁·x₁ + …` in
+/// ascending column order — the one [`m2l_apply`] runs — so the result
+/// is bit-identical to calling [`m2l_apply`] once per pair, in any order,
+/// at every dispatch level (a skipped all-zero column adds only `±0.0`,
+/// which leaves every value but `-0.0` unchanged, and an accumulator that
+/// starts at `+0.0` never becomes `-0.0`).
+///
+/// Targets within one call must be distinct.
+pub fn m2l_apply_block(op: &[f64], x: &[f64], y: &mut [f64], rows: usize, pairs: &[(u32, u32)]) {
+    if rows == 0 || pairs.is_empty() {
+        return;
+    }
+    let cols = op.len() / rows;
+    debug_assert_eq!(op.len(), rows * cols);
+    let level = simd::level();
+    // lint: allow(alloc, one packing buffer per block application, reused across its pair groups)
+    let mut pack = vec![0.0f64; (cols + rows) * level.m2p_lanes()];
+    // `inline(always)` so the body is compiled inside each dispatch
+    // wrapper with that wrapper's instruction set (a closure this large
+    // with three callers is otherwise emitted once, at the baseline ISA)
+    simd::dispatch(
+        #[inline(always)]
+        || match level {
+            simd::SimdLevel::Avx512 => {
+                m2l_apply_block_impl::<8>(op, x, y, (rows, cols), pairs, &mut pack);
+            }
+            _ => m2l_apply_block_impl::<4>(op, x, y, (rows, cols), pairs, &mut pack),
+        },
+    );
+}
+
+/// Groups of `S` pairs: pack sources to `[col][lane]` and targets to
+/// `[row][lane]` (unused lanes zero), run row tiles of 8, then 4, then 1
+/// over the packed group, and unpack the targets. A group less than half
+/// full (a short tail, or a sparse offset class) runs per pair instead.
+#[inline(always)]
+fn m2l_apply_block_impl<const S: usize>(
+    op: &[f64],
+    x: &[f64],
+    y: &mut [f64],
+    (rows, cols): (usize, usize),
+    pairs: &[(u32, u32)],
+    pack: &mut [f64],
+) {
+    let (xt, yt) = pack.split_at_mut(cols * S);
+    for group in pairs.chunks(S) {
+        if 2 * group.len() < S {
+            // mostly padding: one operator pass per pair is cheaper
+            for &(t, src) in group {
+                let (t, src) = (t as usize, src as usize);
+                m2l_apply_impl::<M2L_LANES>(
+                    op,
+                    &x[src * cols..(src + 1) * cols],
+                    &mut y[t * rows..(t + 1) * rows],
+                );
+            }
+            continue;
+        }
+        for (s, &(t, src)) in group.iter().enumerate() {
+            let (t, src) = (t as usize, src as usize);
+            for (c, &v) in x[src * cols..(src + 1) * cols].iter().enumerate() {
+                xt[c * S + s] = v;
+            }
+            for (r, &v) in y[t * rows..(t + 1) * rows].iter().enumerate() {
+                yt[r * S + s] = v;
+            }
+        }
+        for s in group.len()..S {
+            for c in 0..cols {
+                xt[c * S + s] = 0.0;
+            }
+            for r in 0..rows {
+                yt[r * S + s] = 0.0;
+            }
+        }
+        let mut r0 = 0;
+        while r0 + M2L_TILE_ROWS <= rows {
+            m2l_row_tile::<S, M2L_TILE_ROWS>(op, (rows, cols), xt, yt, r0);
+            r0 += M2L_TILE_ROWS;
+        }
+        if r0 + 4 <= rows {
+            m2l_row_tile::<S, 4>(op, (rows, cols), xt, yt, r0);
+            r0 += 4;
+        }
+        while r0 < rows {
+            m2l_row_tile::<S, 1>(op, (rows, cols), xt, yt, r0);
+            r0 += 1;
+        }
+        for (s, &(t, _)) in group.iter().enumerate() {
+            let t = t as usize;
+            for (r, v) in y[t * rows..(t + 1) * rows].iter_mut().enumerate() {
+                *v = yt[r * S + s];
+            }
+        }
+    }
+}
+
+/// One register tile: rows `r0 .. r0 + W` of the `S` packed targets, in
+/// `W` lane vectors accumulated across every column.
+#[inline(always)]
+fn m2l_row_tile<const S: usize, const W: usize>(
+    op: &[f64],
+    (rows, cols): (usize, usize),
+    xt: &[f64],
+    yt: &mut [f64],
+    r0: usize,
+) {
+    let mut acc = [F64Lanes::<S>::splat(0.0); W];
+    for (r, a) in acc.iter_mut().enumerate() {
+        *a = F64Lanes::load(&yt[(r0 + r) * S..]);
+    }
+    for c in 0..cols {
+        let xv = F64Lanes::<S>::load(&xt[c * S..]);
+        // lint: allow(float_cmp, exact-zero column skip: sparsity shortcut, never an equality test)
+        if xv.0.iter().all(|&v| v == 0.0) {
+            continue;
+        }
+        let col = &op[c * rows + r0..c * rows + r0 + W];
+        for (a, &o) in acc.iter_mut().zip(col) {
+            *a += F64Lanes::splat(o) * xv;
+        }
+    }
+    for (r, a) in acc.iter().enumerate() {
+        a.store(&mut yt[(r0 + r) * S..]);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1551,5 +1695,80 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The blocked kernel reproduces one `m2l_apply` per pair bit for bit
+    /// at every degree's operator shape (`2T` rows: not generally a
+    /// multiple of the lane or tile width), for every group width up to
+    /// two full tiles plus a tail, with zero source entries and zero
+    /// target accumulators in the mix.
+    #[test]
+    fn m2l_apply_block_matches_per_pair_bitwise() {
+        let mut state = 0x0f1e_2d3c_4b5a_6978u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+        };
+        for p in 1..=10usize {
+            let n = 2 * tri_len(p);
+            let op: Vec<f64> = (0..n * n).map(|_| next()).collect();
+            for width in 1..=9usize {
+                let spans = width + 3;
+                let mut x: Vec<f64> = (0..spans * n).map(|_| next()).collect();
+                // source 1 is all zero; others lose scattered entries, and
+                // column pair 2/3 is zero across every source
+                for (i, v) in x.iter_mut().enumerate() {
+                    let (span, col) = (i / n, i % n);
+                    if span == 1 || (i % 7 == 3) || (col / 2 == 1 && n > 4) {
+                        *v = 0.0;
+                    }
+                }
+                let mut y0: Vec<f64> = (0..spans * n).map(|_| next()).collect();
+                // target 0 accumulates from +0.0
+                y0[..n].fill(0.0);
+                // distinct targets, sources in a scrambled order (repeats allowed)
+                let pairs: Vec<(u32, u32)> = (0..width)
+                    .map(|k| (k as u32, ((k * 5 + 2) % spans) as u32))
+                    .collect();
+                let mut want = y0.clone();
+                for &(t, s) in &pairs {
+                    let (t, s) = (t as usize, s as usize);
+                    m2l_apply(&op, &x[s * n..(s + 1) * n], &mut want[t * n..(t + 1) * n]);
+                }
+                let mut got = y0.clone();
+                m2l_apply_block(&op, &x, &mut got, n, &pairs);
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(
+                        g.to_bits(),
+                        w.to_bits(),
+                        "p={p} width={width} entry {i}: {g} vs {w}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Rectangular operators (the L2L shape, `2T_child × 2T_parent`) take
+    /// the same path.
+    #[test]
+    fn m2l_apply_block_handles_rectangular_operators() {
+        let (rows, cols) = (2 * tri_len(4), 2 * tri_len(6));
+        let op: Vec<f64> = (0..rows * cols).map(|i| (i as f64 * 0.37).sin()).collect();
+        let x: Vec<f64> = (0..3 * cols).map(|i| (i as f64 * 0.11).cos()).collect();
+        let pairs = [(2u32, 0u32), (0, 2), (1, 1)];
+        let mut want = vec![0.0f64; 3 * rows];
+        for &(t, s) in &pairs {
+            let (t, s) = (t as usize, s as usize);
+            m2l_apply(
+                &op,
+                &x[s * cols..(s + 1) * cols],
+                &mut want[t * rows..(t + 1) * rows],
+            );
+        }
+        let mut got = vec![0.0f64; 3 * rows];
+        m2l_apply_block(&op, &x, &mut got, rows, &pairs);
+        assert_eq!(got, want);
     }
 }

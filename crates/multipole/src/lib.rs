@@ -51,7 +51,7 @@ mod translation;
 pub mod workspace;
 
 pub use batch::{
-    m2l_apply, m2p_field_group, m2p_field_group_uniform, m2p_potential_group,
+    m2l_apply, m2l_apply_block, m2p_field_group, m2p_field_group_uniform, m2p_potential_group,
     m2p_potential_group_uniform, p2p_field_span_guarded, p2p_field_span_guarded_f32,
     p2p_potential_span, p2p_potential_span_f32, p2p_potential_span_guarded,
     p2p_potential_span_guarded_f32, BatchWorkspace, M2pGroup, M2L_LANES, M2P_LANES, P2P_LANES,
